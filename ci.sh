@@ -76,6 +76,13 @@ cargo run --release -p bench --bin serve_bench -- \
   --requests 8 --clients 2 --slots 2 --max-out 8 \
   --out target/BENCH_serve_smoke.json
 
+echo "== servebench: unit tests + catalog-batch smoke (gated on exit status;"
+echo "   checks the packed decode step against the sequential path at"
+echo "   Full-scale sizes: d=96, 6 heads, ~1.9k vocab) =="
+cargo test --release --offline --manifest-path servebench/Cargo.toml -q
+cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
+  --workload catalog-batch --seed 3 --seconds 4 --trace 0
+
 echo "== observability suite: spans, sinks, double-run with obs on =="
 cargo test -p obs -q
 cargo test -p nn --test obs_double_run -q

@@ -74,7 +74,14 @@ pub const HOT_MANIFEST: &[HotFile] = &[
     },
     HotFile {
         file: "crates/nn/src/batch.rs",
-        tick_fns: &["step_packed", "step_packed_into", "linear_packed"],
+        tick_fns: &[
+            "step_packed",
+            "step_packed_into",
+            "linear_packed",
+            "rms_norm_packed",
+            "add_assign",
+            "attend_row",
+        ],
     },
     HotFile {
         file: "crates/nn/src/decode.rs",

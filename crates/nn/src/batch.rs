@@ -21,6 +21,25 @@
 //! including the exact-zero skip in `mm_nn` and the
 //! multiply-by-reciprocal in `softmax_rows`.
 //!
+//! # Logits orientation
+//!
+//! The vocabulary head is the tied embedding `E: [vocab, d]`. The
+//! sequential path computes `x·Eᵀ` with `mm_nt`, one serial scalar dot
+//! chain per logit. The packed step instead keeps a copy of `Eᵀ`
+//! (`[d, vocab]`, built once in [`BatchedDecodeState::new`]) and runs
+//! `mm_nn` over it, which vectorizes across vocabulary columns. Each logit
+//! is still `Σ_p x[p]·E[j,p]` in ascending `p` from `+0.0`, and `mm_nn`'s
+//! exact-zero skip cannot change a bit: a round-to-nearest sum that starts
+//! at `+0.0` never becomes `-0.0`, so adding a `±0` product leaves it as
+//! it was. That holds for a non-accumulating call over finite weights
+//! (the N001 numeric sanitizer polices finiteness); the `tensor::kernels`
+//! docs give the full argument.
+//!
+//! Relative-position buckets are looked up too: the decoder's per-distance
+//! bucket table (`RelPosBias::bucket_by_distance`) is built in `new`,
+//! and attention indexes it once per key instead of evaluating two `ln`
+//! calls per head per key.
+//!
 //! # Continuous batching
 //!
 //! A finished request is [`retire`]d, which NaN-poisons its caches (so any
@@ -145,6 +164,13 @@ pub struct BatchedDecodeState<'m> {
     /// Self-attention KV rows to pre-reserve per layer at admission
     /// (see [`reserve_steps`](Self::reserve_steps)).
     kv_reserve: usize,
+    /// The tied embedding transposed to `[d, vocab]`, the `mm_nn`
+    /// orientation of the logits (module docs). The weights are borrowed
+    /// immutably for the engine's lifetime, so the copy cannot go stale.
+    table_t: Vec<f32>,
+    /// Decoder relative-position bucket by query–key distance
+    /// (`max_distance + 1` entries; empty for sinusoidal models).
+    dec_buckets: Vec<usize>,
 }
 
 /// Step-to-step reusable activation buffers (all `[n, ·]`, row-major).
@@ -184,6 +210,7 @@ impl<'m> BatchedDecodeState<'m> {
     /// Creates an engine with `capacity` empty slots.
     pub fn new(model: &'m T5Model, ps: &'m ParamSet, capacity: usize) -> Self {
         assert!(capacity > 0, "batch capacity must be positive");
+        let table = ps.value(model.emb.table);
         Self {
             model,
             ps,
@@ -192,19 +219,26 @@ impl<'m> BatchedDecodeState<'m> {
             events: Vec::new(),
             cache: None,
             kv_reserve: 0,
+            table_t: kernels::transpose(table.data(), model.cfg.vocab, model.cfg.d_model),
+            dec_buckets: model
+                .dec_bias
+                .as_ref()
+                .map_or_else(Vec::new, RelPosBias::bucket_by_distance),
         }
     }
 
     /// Hints the maximum decode steps any one request will take, so each
     /// admission pre-reserves that many self-attention KV rows per layer
     /// and the per-step [`Tensor::push_row`] appends never reallocate.
-    /// The attention-score scratch (whose length tracks the growing KV
-    /// depth) is reserved up front for the same reason. Applies to
-    /// subsequent admissions; purely a capacity hint — decoded bits are
+    /// The attention-score scratch (`heads` rows whose length tracks the
+    /// growing KV depth) is reserved up front for the same reason. Applies
+    /// to subsequent admissions; purely a capacity hint — decoded bits are
     /// identical with or without it.
     pub fn reserve_steps(&mut self, max_steps: usize) {
         self.kv_reserve = max_steps;
-        self.scratch.scores.reserve(max_steps);
+        self.scratch
+            .scores
+            .reserve(self.model.cfg.heads * max_steps);
     }
 
     /// [`new`](Self::new) with a cross-request prefix cache attached:
@@ -532,7 +566,9 @@ impl<'m> BatchedDecodeState<'m> {
                     &scratch.q[row * d..(row + 1) * d],
                     k_cache,
                     v_cache,
-                    m.dec_bias.as_ref().map(|b| (b, ps, pos)),
+                    m.dec_bias
+                        .as_ref()
+                        .map(|b| (ps.value(b.table).data(), &self.dec_buckets[..], pos)),
                     dh,
                     &mut scratch.scores,
                     &mut scratch.ctx[row * d..(row + 1) * d],
@@ -610,14 +646,15 @@ impl<'m> BatchedDecodeState<'m> {
         }
 
         rms_norm_packed(ps, &m.dec_final, &scratch.x, d, &mut scratch.normed);
-        // Tied-embedding logits: one [n, d] × [vocab, d]ᵀ matmul for the
-        // whole batch, scaled like `T5Model::logits`.
+        // Tied-embedding logits: one [n, d] × [d, vocab] matmul over the
+        // transposed table for the whole batch (bit-identical to the
+        // sequential `mm_nt`, module docs), scaled like `T5Model::logits`.
         let vocab = m.cfg.vocab;
         scratch.logits.clear();
         scratch.logits.resize(n * vocab, 0.0);
-        kernels::mm_nt(
+        kernels::mm_nn(
             &scratch.normed,
-            table.data(),
+            &self.table_t,
             &mut scratch.logits,
             n,
             d,
@@ -660,8 +697,9 @@ impl<'m> BatchedDecodeState<'m> {
             let v64 = vocab as u64;
             // Bytes: weight matrices streamed once per section plus the
             // packed activations; FLOPs: the dominant matmuls (four d×d
-            // projections per self-attn, three per cross-attn, two d×ff
-            // for the FFN, one d×vocab for logits).
+            // projections per self-attn, two per cross-attn — wq and wo,
+            // since K/V were precomputed at admission — two d×ff for the
+            // FFN, one d×vocab for logits).
             record_kernel("batch.embed", Forward, t_embed, 8 * rows * d64, 0);
             record_kernel(
                 "batch.self_attn",
@@ -674,8 +712,8 @@ impl<'m> BatchedDecodeState<'m> {
                 "batch.cross_attn",
                 Forward,
                 t_cross,
-                (12 * d64 * d64 + 16 * rows * d64) * layers,
-                6 * rows * d64 * d64 * layers,
+                (8 * d64 * d64 + 16 * rows * d64) * layers,
+                4 * rows * d64 * d64 * layers,
             );
             record_kernel(
                 "batch.ff",
@@ -781,12 +819,14 @@ fn add_assign(x: &mut [f32], y: &[f32]) {
 /// Mirrors the tape path of `DecodeState::step` per head: ascending-`k`
 /// score dots (the `mm_nt` register accumulation), scale by `dh^-0.5`,
 /// optional relative-position bias, `softmax_rows`, then an ascending-`t`
-/// probability-weighted sum with the `mm_nn` exact-zero skip.
+/// probability-weighted sum with the `mm_nn` exact-zero skip. `bias` is
+/// the decoder's `[num_buckets, heads]` table, its per-distance buckets
+/// ([`RelPosBias::bucket_by_distance`]) and the query position.
 fn attend_row(
     q: &[f32],
     k_cache: &Tensor,
     v_cache: &Tensor,
-    bias: Option<(&RelPosBias, &ParamSet, usize)>,
+    bias: Option<(&[f32], &[usize], usize)>,
     dh: usize,
     scores: &mut Vec<f32>,
     ctx: &mut [f32],
@@ -797,36 +837,48 @@ fn attend_row(
     let k = k_cache.data();
     let v = v_cache.data();
     let factor = 1.0 / (dh as f32).sqrt();
-    for h in 0..heads {
+    // Scores, one `tk`-wide row per head.
+    scores.clear();
+    scores.resize(heads * tk, 0.0);
+    for (h, s_h) in scores.chunks_exact_mut(tk).enumerate() {
         let q_h = &q[h * dh..(h + 1) * dh];
-        scores.clear();
-        scores.resize(tk, 0.0);
-        for (t, s) in scores.iter_mut().enumerate() {
-            let k_row = &k[t * d + h * dh..t * d + (h + 1) * dh];
+        for (s, k_row) in s_h.iter_mut().zip(k.chunks_exact(d)) {
             let mut acc = 0.0f32;
-            for (&qv, &kv) in q_h.iter().zip(k_row.iter()) {
+            for (&qv, &kv) in q_h.iter().zip(&k_row[h * dh..(h + 1) * dh]) {
                 acc += qv * kv;
             }
-            *s = acc;
+            *s = acc * factor;
         }
-        for s in scores.iter_mut() {
-            *s *= factor;
-        }
-        if let Some((b, ps, pos)) = bias {
-            let table = ps.value(b.table).data();
-            for (t, s) in scores.iter_mut().enumerate() {
-                let bucket = b.bucket(t as i64 - pos as i64);
-                *s += table[bucket * heads + h];
+    }
+    if let Some((table, buckets, pos)) = bias {
+        // One bucket lookup per key, shared by every head. Keys never
+        // follow the query (the cache holds positions `0..=pos`), and keys
+        // further back than `max_distance` share the saturated last entry.
+        for t in 0..tk {
+            let bucket = buckets
+                .get(pos.saturating_sub(t))
+                .or(buckets.last())
+                .copied()
+                .unwrap_or(0);
+            let row = &table[bucket * heads..(bucket + 1) * heads];
+            for (h, &b) in row.iter().enumerate() {
+                if let Some(s) = scores.get_mut(h * tk + t) {
+                    *s += b;
+                }
             }
         }
-        kernels::softmax_rows(scores, tk);
-        let ctx_h = &mut ctx[h * dh..(h + 1) * dh];
-        for (t, &p) in scores.iter().enumerate() {
+    }
+    kernels::softmax_rows(scores, tk);
+    for ((h, p_h), ctx_h) in scores
+        .chunks_exact(tk)
+        .enumerate()
+        .zip(ctx.chunks_exact_mut(dh))
+    {
+        for (&p, v_row) in p_h.iter().zip(v.chunks_exact(d)) {
             if p == 0.0 {
                 continue;
             }
-            let v_row = &v[t * d + h * dh..t * d + (h + 1) * dh];
-            for (c, &vv) in ctx_h.iter_mut().zip(v_row.iter()) {
+            for (c, &vv) in ctx_h.iter_mut().zip(&v_row[h * dh..(h + 1) * dh]) {
                 *c += p * vv;
             }
         }

@@ -216,6 +216,20 @@ impl RelPosBias {
         (offset + val) as usize
     }
 
+    /// The bucket of every backward distance `0..=max_distance`: entry
+    /// `r` is `bucket(-r)`, the bucket of a key `r` positions before its
+    /// query. It is exact for every longer distance too, when indexed
+    /// with `min(r, max_distance)`: at `r = max_distance` the log ratio
+    /// in [`bucket`](Self::bucket) is exactly 1, so the bucket has already
+    /// saturated at its last value, and it stays there for every larger
+    /// `r`. Incremental decoding looks buckets up here instead of paying
+    /// two `ln` calls per head per key.
+    pub(crate) fn bucket_by_distance(&self) -> Vec<usize> {
+        (0..=self.max_distance)
+            .map(|r| self.bucket(-(r as i64)))
+            .collect()
+    }
+
     /// Builds the `[heads, tq, tk]` bias for query positions
     /// `offset..offset+tq` against key positions `0..tk` (the offset serves
     /// incremental decoding).
@@ -443,6 +457,24 @@ mod tests {
         // Future keys (rel > 0) collapse to bucket 0 for causal decoders.
         assert_eq!(bias.bucket(5), bias.bucket(1));
         assert_ne!(bias.bucket(-5), bias.bucket(5));
+    }
+
+    #[test]
+    fn bucket_by_distance_is_exact_past_max_distance() {
+        let mut r = rng();
+        for bidirectional in [false, true] {
+            let mut ps = ParamSet::new();
+            let bias = RelPosBias::new(&mut ps, "rb", 4, bidirectional, &mut r);
+            let table = bias.bucket_by_distance();
+            assert_eq!(table.len(), bias.max_distance + 1);
+            for rp in 0..4 * bias.max_distance {
+                assert_eq!(
+                    table[rp.min(bias.max_distance)],
+                    bias.bucket(-(rp as i64)),
+                    "bidirectional={bidirectional} distance {rp}"
+                );
+            }
+        }
     }
 
     #[test]

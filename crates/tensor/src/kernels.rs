@@ -24,6 +24,26 @@
 //! the `analysis::par` schedule certifier proves statically for the
 //! schedules `sched::declared_schedules` exposes, and
 //! `parallel_dispatch_matches_serial_bitwise` pins dynamically.
+//!
+//! # `mm_nn` over a transposed operand equals `mm_nt`, bit for bit
+//!
+//! For a non-accumulating call, `mm_nn(a, transpose(b))` and
+//! `mm_nt(a, b)` produce the same bits whenever every entry of `b` is
+//! finite. Both compute each `C[i,j]` as `Σ_p A[i,p]·B[j,p]` in ascending
+//! `p`, starting from `+0.0`; `mm_nt` runs it as one serial scalar chain
+//! per output, `mm_nn` as one lane of a row-wide vector update. The only
+//! other difference is `mm_nn`'s exact-zero skip, and it cannot change a
+//! bit: a round-to-nearest sum that starts at `+0.0` never becomes
+//! `-0.0` (an exactly cancelling sum rounds to `+0.0`), so adding the
+//! `±0` product of a zero `A[i,p]` and a finite `B[j,p]` leaves it
+//! unchanged. The preconditions are what break the argument: an infinite
+//! or NaN `B[j,p]` times zero is NaN, which `mm_nt` keeps and `mm_nn`
+//! skips, and an accumulating call may start from a `-0.0` in `C`.
+//! Model weights are finite (the N001 numeric sanitizer polices that),
+//! so the packed decode step streams its tied-embedding logits through
+//! `mm_nn` over a once-transposed `[d, vocab]` table — the vectorized
+//! orientation — and still matches the sequential path's `mm_nt`
+//! (`mm_nn_over_transpose_matches_mm_nt_bitwise` pins this).
 
 /// Returns the index of the first non-finite (NaN/Inf) element, if any.
 ///
@@ -258,6 +278,24 @@ fn mm_tn_serial_range(
     }
 }
 
+/// Returns the `[cols, rows]` transpose of a row-major `[rows, cols]`
+/// matrix.
+pub fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    assert_eq!(
+        x.len(),
+        rows * cols,
+        "transpose: {} elements, want rows*cols = {rows}*{cols}",
+        x.len()
+    );
+    let mut t = vec![0.0; x.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = x[r * cols + c];
+        }
+    }
+    t
+}
+
 /// Copies rows `ids` of a row-major `[rows, d]` source into `dst`
 /// (`[len(ids), d]`), the packing step of batched decoding: per-request
 /// activations gather into one GEMM operand.
@@ -327,16 +365,6 @@ mod tests {
             }
         }
         c
-    }
-
-    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-        let mut t = vec![0.0; x.len()];
-        for r in 0..rows {
-            for c in 0..cols {
-                t[c * rows + r] = x[r * cols + c];
-            }
-        }
-        t
     }
 
     fn seq(n: usize) -> Vec<f32> {
@@ -523,6 +551,73 @@ mod tests {
                 assert!(c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()));
             }
         }
+    }
+
+    /// Sprinkles the values the zero-skip argument hinges on: exact `+0`,
+    /// `-0`, subnormals of both signs, and tiny normals whose products
+    /// underflow to a signed zero.
+    fn with_edge_values(mut x: Vec<f32>, phase: usize) -> Vec<f32> {
+        let sub = f32::MIN_POSITIVE / 4.0;
+        for (i, v) in x.iter_mut().enumerate() {
+            match (i + phase) % 17 {
+                0 => *v = 0.0,
+                3 => *v = -0.0,
+                5 => *v = sub,
+                8 => *v = -sub,
+                11 => *v = f32::MIN_POSITIVE * if i % 2 == 0 { 1.0 } else { -1.0 },
+                _ => {}
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn mm_nn_over_transpose_matches_mm_nt_bitwise() {
+        // The packed decode step's tied-embedding shape (k = d = 96,
+        // n = vocab ≈ 1883, several MM_NC tiles) at 1, 3 and 8 rows.
+        let k = 96;
+        for m in [1, 3, 8] {
+            for n in [1882, 1883, 1884] {
+                let mut a = with_edge_values(seq(m * k), 0);
+                // All-zero rows of both signs: every product skipped.
+                if m > 1 {
+                    a[k..2 * k].fill(0.0);
+                }
+                if m > 2 {
+                    a[2 * k..3 * k].fill(-0.0);
+                }
+                let b = with_edge_values(seq(n * k), 7); // [n, k]
+                let b_t = transpose(&b, n, k); // [k, n]
+                let (mut want, mut got) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+                mm_nt(&a, &b, &mut want, m, k, n, false);
+                mm_nn(&a, &b_t, &mut got, m, k, n, false);
+                for (idx, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "m={m} n={n} C[{}, {}]: {x:e} vs {y:e}",
+                        idx / n,
+                        idx % n
+                    );
+                }
+                // A zero row sums to +0.0, never -0.0.
+                if m > 2 {
+                    assert!(got[n..3 * n].iter().all(|v| v.to_bits() == 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_swaps_rows_and_columns() {
+        let x = seq(2 * 3);
+        let t = transpose(&x, 2, 3);
+        for r in 0..2 {
+            for c in 0..3 {
+                assert_eq!(t[c * 2 + r].to_bits(), x[r * 3 + c].to_bits());
+            }
+        }
+        assert_eq!(transpose(&t, 3, 2), x);
     }
 
     /// Fork-join dispatch must be invisible in the bits: every thread
