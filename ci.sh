@@ -24,6 +24,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q =="
 cargo test --workspace -q
 
+echo "== kernel exactness: both mm_nn bodies vs the unblocked reference =="
+cargo test --release -p tensor kernels -q
+# Name the mm_nn arm this host dispatches to, so a silently disabled
+# fast path shows in the log.
+cargo test --release -p tensor kernels::tests::mm_nn_reports_its_isa_arm -q -- --nocapture
+
 echo "== batched-decode differential suite =="
 cargo test -p nn --test batched_differential -q
 cargo test -p nn --test batched_proptests -q

@@ -95,6 +95,10 @@ pub const HOT_MANIFEST: &[HotFile] = &[
         file: "crates/tensor/src/kernels.rs",
         tick_fns: &["mm_nn", "mm_nt", "softmax_rows"],
     },
+    HotFile {
+        file: "crates/tensor/src/kernels/avx2.rs",
+        tick_fns: &["mm_nn", "mm_nn_avx2", "row_block", "tile", "column_tail"],
+    },
 ];
 
 /// Tally of hot-path findings across a whole audit.

@@ -1144,6 +1144,25 @@ mod tests {
     }
 
     #[test]
+    fn k_split_planted_inside_an_mm_nn_tile_is_rejected() {
+        let mut tile = tensor::sched::declared_schedules(8, 96, 1883, 1)
+            .into_iter()
+            .find(|s| s.kernel == "mm_nn.cols")
+            .unwrap();
+        certify(&tile).expect("the declared column tiling certifies");
+        // A tile that restarts its accumulators every 64 contributions
+        // and adds the partial sums afterwards.
+        tile.split = SplitAxis::K;
+        tile.chunks = vec![(0, 64), (64, 96)];
+        tile.join = JoinTree::left_spine(2);
+        let err = certify(&tile).expect_err("a k-split tile must be rejected");
+        assert!(err.reason.contains("k=64"), "{}", err.reason);
+        assert!(err
+            .to_string()
+            .starts_with("error[P010] schedule mm_nn.cols"));
+    }
+
+    #[test]
     fn deliberately_reassociated_join_tree_is_rejected_naming_the_divergence() {
         // A balanced tree over four k-chunks: (S0 ⊕ S1) ⊕ (S2 ⊕ S3).
         // Sequential order folds contribution 33 into the running

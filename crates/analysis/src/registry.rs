@@ -246,6 +246,11 @@ pub const CODES: &[CodeEntry] = &[
         family: "serve",
         summary: "engine invariant violation; request drained with a typed error",
     },
+    CodeEntry {
+        code: "R006",
+        family: "serve",
+        summary: "request refused at the front door: source id outside the vocabulary",
+    },
     // Prefix-cache events (nn::prefix_cache).
     CodeEntry {
         code: "C001",
@@ -382,7 +387,7 @@ mod tests {
 
     #[test]
     fn serve_rejection_codes_are_registered() {
-        for code in ["R001", "R002", "R003", "R004", "R005"] {
+        for code in ["R001", "R002", "R003", "R004", "R005", "R006"] {
             let e = lookup(code).unwrap_or_else(|| panic!("{code} missing"));
             assert_eq!(e.family, "serve");
         }

@@ -76,7 +76,7 @@ fn main() {
     }
     println!(
         "{certified}/{} declared schedules certified bit-equivalent to sequential \
-         ({} shapes x {} worker counts x 3 orientations)",
+         ({} shapes x {} worker counts: 3 orientations + mm_nn register tiling)",
         results.len(),
         SHAPES.len(),
         WORKER_COUNTS.len()

@@ -298,6 +298,11 @@ impl<'m> BatchedDecodeState<'m> {
         self.slots.len()
     }
 
+    /// Vocabulary size: valid source token ids are `0..vocab`.
+    pub fn vocab(&self) -> usize {
+        self.model.cfg.vocab
+    }
+
     /// Number of slots currently free (empty or retired).
     pub fn free_slots(&self) -> usize {
         self.slots

@@ -12,6 +12,7 @@ use nn::batch::BatchedDecodeState;
 use nn::decode::{batched_greedy_decode, greedy_decode};
 use nn::param::ParamSet;
 use nn::t5::{DecodeState, Positional, T5Config, T5Model, DECODER_START};
+use tensor::kernels::{MM_MR, MM_NC, MM_NR, MM_NR_ROW};
 use tensor::{Tensor, XorShift};
 
 const EOS: u32 = 1;
@@ -168,11 +169,12 @@ fn staggered_eos_keeps_survivors_bitwise_identical() {
 /// Decodes long enough (150 steps) that the decoder's relative-position
 /// buckets leave the exact range (distance ≥ 16, the `ln` branch) and
 /// saturate past `max_distance` = 128, on a model with several heads, a
-/// `d_model` spanning two `mm_nn` k-blocks and a vocabulary wider than
-/// one `MM_NC` tile. EOS sits outside the vocabulary, so greedy argmax
-/// never emits it and every request runs the full length. Logit rows are
-/// compared bit for bit at every step, with the third request admitted
-/// mid-flight so the batch is ragged.
+/// `d_model` and a vocabulary that cross every `mm_nn` tile edge (a full
+/// one-row `MM_NR_ROW` tile, `MM_NR` tiles and a scalar column tail),
+/// and a vocabulary wider than one `MM_NC` tile. EOS sits outside the
+/// vocabulary, so greedy argmax never emits it and every request runs
+/// the full length. Logit rows are compared bit for bit at every step,
+/// with the third request admitted mid-flight so the batch is ragged.
 #[test]
 fn long_decode_past_max_distance_is_bitwise_equal_to_sequential() {
     const STEPS: usize = 150;
@@ -181,7 +183,7 @@ fn long_decode_past_max_distance_is_bitwise_equal_to_sequential() {
     let mut rng = XorShift::new(41);
     let cfg = T5Config {
         vocab: 300,
-        d_model: 80,
+        d_model: 84,
         d_ff: 64,
         heads: 4,
         enc_layers: 1,
@@ -190,7 +192,8 @@ fn long_decode_past_max_distance_is_bitwise_equal_to_sequential() {
         positional: Positional::RelativeBias,
     };
     let m = T5Model::new(&mut ps, "m", cfg, &mut rng);
-    assert!(m.cfg.vocab > tensor::kernels::MM_NC && m.cfg.d_model > tensor::kernels::MM_KC);
+    let (d, vocab) = (m.cfg.d_model, m.cfg.vocab);
+    assert!(vocab > MM_NC && d > MM_NR_ROW && d > MM_MR && vocab % MM_NR != 0 && d % MM_NR != 0);
     let eos = m.cfg.vocab as u32;
     let srcs = random_srcs(42, 3, m.cfg.vocab as u32);
 

@@ -4,9 +4,11 @@
 //! # State machine
 //!
 //! Every request moves through `queued → decoding → done` with two early
-//! exits: `rejected at the front door` (queue full, R001; or already past
-//! deadline, R002) and `retired mid-flight` (deadline mid-decode, R003;
-//! shutdown, R004). One [`tick`] is the scheduler's atom:
+//! exits: `rejected at the front door` (queue full, R001; already past
+//! deadline, R002; or a source id outside the decoder's vocabulary,
+//! R006, which would otherwise panic the embedding lookup at admission)
+//! and `retired mid-flight` (deadline mid-decode, R003; shutdown, R004).
+//! One [`tick`] is the scheduler's atom:
 //!
 //! 1. expire queued requests whose deadline has passed (R002);
 //! 2. fill free batcher slots from the queue in `(priority, arrival)`
@@ -89,6 +91,12 @@ pub trait BatchDecoder {
     fn reserve_steps(&mut self, _max_steps: usize) {}
     /// Resident KV bytes of live slots (leak detection at shutdown).
     fn cache_bytes(&self) -> usize;
+    /// Number of token ids the encoder accepts; the engine refuses a
+    /// source holding an id at or above it (R006) before admission.
+    /// Default: unbounded, for decoders without an embedding table.
+    fn vocab(&self) -> usize {
+        usize::MAX
+    }
     /// Drains the slot admission/retirement log.
     fn take_slot_events(&mut self) -> Vec<SlotEvent>;
     /// Running prefix-cache tallies, when a cross-request cache is
@@ -117,6 +125,9 @@ impl BatchDecoder for BatchedDecodeState<'_> {
     }
     fn cache_bytes(&self) -> usize {
         BatchedDecodeState::cache_bytes(self)
+    }
+    fn vocab(&self) -> usize {
+        BatchedDecodeState::vocab(self)
     }
     fn take_slot_events(&mut self) -> Vec<SlotEvent> {
         BatchedDecodeState::take_slot_events(self)
@@ -397,6 +408,10 @@ impl<D: BatchDecoder> ServeEngine<D> {
             self.reject(req, arrival_ns, Rejection::Internal);
             return;
         }
+        if !self.in_vocab(&req.src) {
+            self.reject(req, arrival_ns, Rejection::OutOfVocab);
+            return;
+        }
         if req.deadline_ns <= self.now_ns {
             self.reject(req, arrival_ns, Rejection::DeadlineQueued);
             return;
@@ -412,6 +427,18 @@ impl<D: BatchDecoder> ServeEngine<D> {
             self.reject(bounced.req, arrival_ns, Rejection::QueueFull);
         } else if obs::enabled() {
             obs::gauge_set("serve.queue_depth", self.queue.len() as f64);
+        }
+    }
+
+    /// Whether every id of `src` — as admission will see it, an empty
+    /// source being a lone EOS — indexes the decoder's embedding table.
+    fn in_vocab(&self, src: &[u32]) -> bool {
+        let vocab = self.dec.vocab();
+        let ok = |&id: &u32| usize::try_from(id).is_ok_and(|id| id < vocab);
+        if src.is_empty() {
+            ok(&self.cfg.eos)
+        } else {
+            src.iter().all(ok)
         }
     }
 

@@ -9,7 +9,7 @@
 //! Layer map:
 //!
 //! * [`request`] — [`ServeRequest`]/[`ServeResponse`], typed
-//!   [`Rejection`]s (`R001`–`R005`), and text-level request construction
+//!   [`Rejection`]s (`R001`–`R006`), and text-level request construction
 //!   through the paper's unified encoding (schema filtration included).
 //! * [`queue`] — the bounded FIFO-within-priority admission queue.
 //! * [`engine`] — the scheduler itself: virtual clock, tick loop, slot

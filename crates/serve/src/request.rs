@@ -10,7 +10,7 @@
 //! Every admitted or rejected request produces exactly one
 //! [`ServeResponse`]; nothing is silently dropped. Rejections are typed
 //! ([`Rejection`]) and each variant carries a registered diagnostic code
-//! (`R001`–`R005`, see `analysis::registry` and the DESIGN.md lint-code
+//! (`R001`–`R006`, see `analysis::registry` and the DESIGN.md lint-code
 //! table), so rejection tallies are auditable the same way lint tallies
 //! are.
 
@@ -97,6 +97,9 @@ pub enum Rejection {
     /// (`serve::EngineError`); the request was drained with this typed
     /// response — partial tokens kept — instead of dying in a panic.
     Internal,
+    /// The source holds a token id outside the model's vocabulary; it is
+    /// refused at submission, before it can reach the embedding lookup.
+    OutOfVocab,
 }
 
 impl Rejection {
@@ -108,6 +111,7 @@ impl Rejection {
             Rejection::DeadlineDecoding => "R003",
             Rejection::Shutdown => "R004",
             Rejection::Internal => "R005",
+            Rejection::OutOfVocab => "R006",
         }
     }
 
@@ -119,6 +123,7 @@ impl Rejection {
             Rejection::DeadlineDecoding => "deadline-decoding",
             Rejection::Shutdown => "shutdown",
             Rejection::Internal => "internal-error",
+            Rejection::OutOfVocab => "out-of-vocab",
         }
     }
 }
@@ -168,9 +173,10 @@ mod tests {
             Rejection::DeadlineDecoding,
             Rejection::Shutdown,
             Rejection::Internal,
+            Rejection::OutOfVocab,
         ];
         let codes: Vec<&str> = all.iter().map(|r| r.code()).collect();
-        assert_eq!(codes, ["R001", "R002", "R003", "R004", "R005"]);
+        assert_eq!(codes, ["R001", "R002", "R003", "R004", "R005", "R006"]);
         let mut labels: Vec<&str> = all.iter().map(|r| r.label()).collect();
         labels.dedup();
         assert_eq!(labels.len(), all.len());

@@ -4,14 +4,19 @@
 //! Each test pins one corner the property suite only hits by chance:
 //! a full queue at the peak of a burst, a deadline shorter than one
 //! decode step, a burst of requests over one shared schema, the
-//! zero-length prompt, and shutdown with in-flight slots (no leaked KV
-//! bytes, witnessed through `cache_bytes`).
+//! zero-length prompt, an out-of-vocabulary source on the real batcher,
+//! and shutdown with in-flight slots (no leaked KV bytes, witnessed
+//! through `cache_bytes`).
 
 use datavist5::data::{Task, TaskRequest};
+use nn::batch::BatchedDecodeState;
+use nn::param::ParamSet;
+use nn::t5::{Positional, T5Config, T5Model};
 use serve::{
     BatchDecoder, EngineError, Outcome, Rejection, ScriptedDecoder, ServeConfig, ServeEngine,
     ServeRequest,
 };
+use tensor::XorShift;
 use tokenizer::WordTokenizer;
 use vql::schema::{DbSchema, TableSchema};
 
@@ -163,6 +168,52 @@ fn zero_length_prompt_is_normalized_and_served() {
     assert_eq!(report.responses[0].tokens, vec![7, 7]);
 }
 
+/// A source id outside the vocabulary, on the real batcher: refused at
+/// submission with R006 and no tokens. Admitted, it would panic the
+/// serving thread at the encoder's embedding lookup and take the
+/// requests around it down too; here the one already in flight and the
+/// one submitted after it both complete.
+#[test]
+fn out_of_vocab_source_is_rejected_and_neighbours_complete() {
+    let cfg = T5Config {
+        vocab: 20,
+        d_model: 16,
+        d_ff: 32,
+        heads: 2,
+        enc_layers: 1,
+        dec_layers: 1,
+        dropout: 0.0,
+        positional: Positional::RelativeBias,
+    };
+    let mut ps = ParamSet::new();
+    let model = T5Model::new(&mut ps, "oov", cfg, &mut XorShift::new(7));
+    let dec = BatchedDecodeState::new(&model, &ps, 2);
+    assert_eq!(BatchDecoder::vocab(&dec), 20);
+    let mut e = ServeEngine::new(dec, ServeConfig::new(4, 6, EOS));
+    e.submit(ServeRequest::new(0, Task::VisToText, vec![3, 4, 5]));
+    e.tick().unwrap();
+    assert_eq!(e.live(), 1, "request 0 is in flight");
+    e.submit(ServeRequest::new(1, Task::VisToText, vec![3, 999, 5]));
+    e.submit(ServeRequest::new(2, Task::TableToText, vec![6, 19]));
+    while !e.is_idle() {
+        e.tick().unwrap();
+    }
+    let report = e.into_report();
+    assert!(report.accounted());
+    assert_eq!(report.completed, 2);
+    assert_eq!(report.rejected["out-of-vocab"], 1);
+    for r in &report.responses {
+        if r.id == 1 {
+            assert_eq!(r.outcome, Outcome::Rejected(Rejection::OutOfVocab));
+            assert!(r.tokens.is_empty());
+            assert_eq!(r.finished_ns, r.arrival_ns, "rejection is immediate");
+        } else {
+            assert_eq!(r.outcome, Outcome::Completed, "request {}", r.id);
+            assert!(!r.tokens.is_empty());
+        }
+    }
+}
+
 /// Shutdown with in-flight slots: queued requests reject with R004 and
 /// zero tokens, in-flight requests reject with R004 keeping their
 /// partial output, and the decoder ends with zero live KV bytes.
@@ -292,6 +343,7 @@ fn rejection_codes_are_registered() {
         Rejection::DeadlineDecoding,
         Rejection::Shutdown,
         Rejection::Internal,
+        Rejection::OutOfVocab,
     ];
     for rej in all {
         let entry = analysis::registry::CODES

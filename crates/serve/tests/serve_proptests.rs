@@ -85,6 +85,9 @@ impl<D: BatchDecoder> BatchDecoder for EventTap<'_, D> {
     fn cache_bytes(&self) -> usize {
         self.inner.cache_bytes()
     }
+    fn vocab(&self) -> usize {
+        self.inner.vocab()
+    }
     fn take_slot_events(&mut self) -> Vec<SlotEvent> {
         let events = self.inner.take_slot_events();
         self.tee.extend(events.iter().copied());

@@ -3,16 +3,32 @@
 //! The matmul kernels come in the three orientations the backward pass
 //! needs (`C = A·B`, `C = A·Bᵀ`, `C = Aᵀ·B`), each with an `accumulate`
 //! flag so gradient contributions can be summed in place without a scratch
-//! buffer. Loop orders are chosen so the innermost loop streams over
-//! contiguous memory and autovectorizes.
+//! buffer. Whatever the loop order, every `C[i,j]` receives its
+//! contributions in ascending `k`, one rounded multiply then one rounded
+//! add each, so results are bit-identical to the unblocked loops (a
+//! property the batched-decode differential suite relies on, locked by
+//! `blocked_kernels_match_unblocked_bitwise`).
 //!
-//! Each kernel is cache-blocked: one operand tile is kept hot across the
-//! outer loop so large matrices (vocabulary projections, packed batch
-//! activations) stop thrashing L2. Blocking only re-orders *independent*
-//! output elements — for any single `C[i,j]` the contributions still
-//! arrive in ascending-`k` order, so results are bit-identical to the
-//! unblocked loops (a property the batched-decode differential suite
-//! relies on, locked by `blocked_kernels_match_unblocked_bitwise`).
+//! `mm_nt` and `mm_tn` are cache-blocked: one operand panel (`MM_NC`,
+//! `MM_IC`) stays hot across the outer loop. `mm_nn`, which carries the
+//! decode step, the projections and the tape's forward matmuls, runs a
+//! register tile: `MM_MR` rows × `MM_NR` columns (`MM_NR_ROW` columns for
+//! a one-row block, so `m = 1` keeps eight add chains in flight) are held
+//! in accumulators across the whole `k` chain, started from `+0.0` or the
+//! loaded `C`, and stored once; a column tail narrower than one tile runs
+//! scalar in the same order. The tile is explicit AVX2 intrinsics in the
+//! `avx2` submodule (the crate's only `unsafe`), chosen at run time by
+//! `is_x86_feature_detected!` inside the serial body, so every parallel
+//! row chunk takes it too and the build stays portable; a host without
+//! AVX2 runs the portable axpy loop (without the k-blocking it once had,
+//! which timed the same on the decode shapes in a baseline x86-64 build).
+//! Multiply and add stay separate
+//! instructions: a fused multiply-add rounds once where the portable loop
+//! rounds twice, so FMA would change bits and is never enabled. The
+//! exact-zero skip is per `(row, p)` in both bodies, so they agree on
+//! every input — `-0.0` in an accumulating `C` and `±inf` in `B`
+//! included (`mm_nn_bodies_match_reference_bitwise` calls each body
+//! directly).
 //!
 //! On top of the serial bodies sits a fork-join dispatch layer: when
 //! `DATAVIST5_THREADS > 1` and the launch is big enough
@@ -45,6 +61,10 @@
 //! orientation — and still matches the sequential path's `mm_nt`
 //! (`mm_nn_over_transpose_matches_mm_nt_bitwise` pins this).
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2;
+
 /// Returns the index of the first non-finite (NaN/Inf) element, if any.
 ///
 /// This is the numeric-sanitizer hook: the kernels themselves never scan
@@ -55,16 +75,51 @@ pub fn first_nonfinite(x: &[f32]) -> Option<usize> {
     x.iter().position(|v| !v.is_finite())
 }
 
+/// Rows per register tile of [`mm_nn`]'s microkernel.
+pub const MM_MR: usize = 4;
+/// Columns per register tile of [`mm_nn`]'s microkernel: two 8-lane
+/// AVX2 vectors.
+pub const MM_NR: usize = 16;
+/// Columns per tile when a row block holds a single row (`m = 1`, or a
+/// one-row tail): eight vectors, so one row still keeps eight independent
+/// add chains in flight.
+pub const MM_NR_ROW: usize = 64;
 /// Cache-block tile sizes, tuned in release mode with
-/// `decode_bench --preset base` (see `bench/out/BENCH_decode.json`): the
-/// `k`-tile keeps a `MM_KC × n` panel of `B` hot in `mm_nn`, the `n`-tile
-/// keeps a `MM_NC × k` panel of `B` hot in `mm_nt` (the vocabulary-logits
-/// orientation), and the `m`-tile keeps an output panel hot in `mm_tn`.
-pub const MM_KC: usize = 64;
-/// `n`-dimension tile for [`mm_nt`] (see [`MM_KC`]).
+/// `decode_bench --preset base` (see `BENCH_decode.json` at the repo
+/// root): the `n`-tile keeps a `MM_NC × k` panel of `B` hot in `mm_nt`
+/// (the attention-score orientation), and the `m`-tile keeps an output
+/// panel hot in `mm_tn`.
 pub const MM_NC: usize = 128;
-/// `m`-dimension tile for [`mm_tn`] (see [`MM_KC`]).
+/// `m`-dimension tile for [`mm_tn`] (see [`MM_NC`]).
 pub const MM_IC: usize = 64;
+
+/// Row blocks `[lo, hi)` of [`mm_nn`]'s microkernel over `m` output rows:
+/// [`MM_MR`]-row blocks, then a 1–3 row tail. `sched::declared_schedules`
+/// declares this same tiling to the schedule certifier.
+pub fn mm_nn_row_tiles(m: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..m)
+        .step_by(MM_MR)
+        .map(move |lo| (lo, (lo + MM_MR).min(m)))
+}
+
+/// Column tiles `[lo, hi)` of [`mm_nn`]'s microkernel over `n` output
+/// columns of a `rows`-row block: [`MM_NR_ROW`]-wide tiles first when the
+/// block has one row, then [`MM_NR`]-wide tiles, then a tail narrower than
+/// [`MM_NR`] that runs scalar. Each tile keeps every output's full
+/// ascending-`k` chain.
+pub fn mm_nn_col_tiles(rows: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let wide_end = if rows == 1 { n - n % MM_NR_ROW } else { 0 };
+    let vec_end = n - (n - wide_end) % MM_NR;
+    (0..wide_end)
+        .step_by(MM_NR_ROW)
+        .map(|lo| (lo, lo + MM_NR_ROW))
+        .chain(
+            (wide_end..vec_end)
+                .step_by(MM_NR)
+                .map(|lo| (lo, lo + MM_NR)),
+        )
+        .chain((vec_end < n).then_some((vec_end, n)))
+}
 
 /// `C = A·B` (or `C += A·B` when `accumulate`), with `A: [m,k]`, `B: [k,n]`,
 /// `C: [m,n]`.
@@ -102,32 +157,46 @@ pub fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, 
 }
 
 /// Serial body of [`mm_nn`]; the parallel dispatch runs it per row chunk.
+/// Takes the AVX2 register tile when the CPU has it, else the portable
+/// loop — the two agree bit for bit.
 fn mm_nn_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = avx2::Avx2::detect() {
+        isa.mm_nn(a, b, c, m, k, n, acc);
+        return;
+    }
+    mm_nn_portable(a, b, c, m, k, n, acc);
+}
+
+/// Which [`mm_nn`] body this host runs: `"avx2"` or `"portable"`.
+#[cfg(test)]
+pub(crate) fn mm_nn_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::Avx2::detect().is_some() {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// Portable body of [`mm_nn`], the fallback on hosts without AVX2: for
+/// each row, every nonzero `A[i,p]` in ascending `p` adds its product
+/// into the whole `C` row.
+fn mm_nn_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
     if !acc {
         c.fill(0.0);
     }
-    // k-blocked: the `[p0..p1, n]` panel of B is reused by every row of A
-    // before moving on. Per C[i,j] the p-contributions stay in ascending
-    // order (blocks ascend, p ascends within a block), so the sum is
-    // bit-identical to the unblocked loop.
-    let mut p0 = 0;
-    while p0 < k {
-        let p1 = (p0 + MM_KC).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k + p0..i * k + p1];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (off, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let p = p0 + off;
-                let b_row = &b[p * n..(p + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                    *cv += av * bv;
-                }
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let c_row = &mut c[i * n..(i + 1) * n];
+        for (p, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let b_row = &b[p * n..(p + 1) * n];
+            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                *cv += av * bv;
             }
         }
-        p0 = p1;
     }
 }
 
@@ -518,8 +587,9 @@ mod tests {
 
     #[test]
     fn blocked_kernels_match_unblocked_bitwise() {
-        // Sizes straddle every tile boundary (MM_KC = 64, MM_NC = 128,
-        // MM_IC = 64); data includes exact zeros to exercise the skip path.
+        // Sizes straddle every tile boundary (MM_MR = 4, MM_NR = 16,
+        // MM_NR_ROW = 64, MM_NC = 128, MM_IC = 64); data includes exact
+        // zeros to exercise the skip path.
         let cases = [(1, 1, 1), (3, 63, 5), (7, 64, 129), (65, 130, 257)];
         for &(m, k, n) in &cases {
             let mut a = seq(m * k);
@@ -604,6 +674,122 @@ mod tests {
                 if m > 2 {
                     assert!(got[n..3 * n].iter().all(|v| v.to_bits() == 0));
                 }
+            }
+        }
+    }
+
+    /// Bit equality with NaNs compared as NaN-equal: an `inf - inf` lane
+    /// may carry either NaN payload, since the compiler is free to
+    /// commute an add's operands.
+    fn same_bits(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// Both `mm_nn` bodies, called directly, against the unblocked
+    /// reference on every tile edge: row tails of 1–3, column tails of
+    /// 1–15, exact tile multiples, the one-row wide tile, the logits
+    /// shape, and `k` on both sides of 64. Values cover `±0`,
+    /// subnormals, underflowing products, `±inf` in `B` (so `inf - inf`
+    /// NaNs too), all-zero `A` rows of both signs, and `-0.0` in an
+    /// accumulating `C`, which only a skipped product leaves untouched.
+    #[test]
+    fn mm_nn_bodies_match_reference_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = avx2::Avx2::detect();
+        #[cfg(target_arch = "x86_64")]
+        if avx2.is_none() {
+            println!("mm_nn exactness: host lacks AVX2, AVX2 arm skipped");
+        }
+        let ns: Vec<usize> = (1..=17).chain([96, 192, 1882, 1883, 1884]).collect();
+        for m in [1, 2, 3, 4, 5, 8, 9] {
+            for &n in &ns {
+                for k in [1, 63, 64, 65, 96, 192] {
+                    let mut a = with_edge_values(seq(m * k), m);
+                    if m > 2 {
+                        a[k..2 * k].fill(0.0);
+                        a[2 * k..3 * k].fill(-0.0);
+                    }
+                    let mut b = with_edge_values(seq(k * n), n);
+                    for (i, v) in b.iter_mut().enumerate() {
+                        match i % 29 {
+                            13 => *v = f32::INFINITY,
+                            23 => *v = f32::NEG_INFINITY,
+                            _ => {}
+                        }
+                    }
+                    let mut init = with_edge_values(seq(m * n), k);
+                    for v in init.iter_mut().step_by(5) {
+                        *v = -0.0;
+                    }
+                    for acc in [false, true] {
+                        let mut want = init.clone();
+                        unblocked::mm_nn(&a, &b, &mut want, m, k, n, acc);
+                        let mut bodies: Vec<(&str, Vec<f32>)> = Vec::new();
+                        let mut got = init.clone();
+                        mm_nn_portable(&a, &b, &mut got, m, k, n, acc);
+                        bodies.push(("portable", got));
+                        #[cfg(target_arch = "x86_64")]
+                        if let Some(isa) = avx2 {
+                            let mut got = init.clone();
+                            isa.mm_nn(&a, &b, &mut got, m, k, n, acc);
+                            bodies.push(("avx2", got));
+                        }
+                        for (body, got) in &bodies {
+                            for (idx, (x, y)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same_bits(*x, *y),
+                                    "{body} m={m} k={k} n={n} acc={acc} C[{}, {}]: {x:e} vs {y:e}",
+                                    idx / n,
+                                    idx % n
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Names the `mm_nn` body this host dispatches to, so a CI log shows
+    /// when the fast path is silently off.
+    #[test]
+    fn mm_nn_reports_its_isa_arm() {
+        let isa = mm_nn_isa();
+        println!("mm_nn arm on this host: {isa}");
+        assert!(["avx2", "portable"].contains(&isa));
+    }
+
+    #[test]
+    fn mm_nn_tiles_cover_the_output_once() {
+        for m in 0..10 {
+            let rows: Vec<_> = mm_nn_row_tiles(m).collect();
+            assert_eq!(rows.iter().map(|(lo, hi)| hi - lo).sum::<usize>(), m);
+            assert!(rows
+                .iter()
+                .all(|&(lo, hi)| lo % MM_MR == 0 && hi - lo <= MM_MR));
+        }
+        for rows in 1..=MM_MR {
+            for n in (0..140).chain([1882, 1883, 1884]) {
+                let tiles: Vec<_> = mm_nn_col_tiles(rows, n).collect();
+                let mut next = 0;
+                for &(lo, hi) in &tiles {
+                    assert_eq!(lo, next, "rows={rows} n={n}: {tiles:?}");
+                    let w = hi - lo;
+                    let wide = rows == 1 && w == MM_NR_ROW;
+                    assert!(wide || w == MM_NR || (w < MM_NR && hi == n));
+                    next = hi;
+                }
+                assert_eq!(next, n);
+                // The AVX2 body walks 64-column panels; restricted to a
+                // panel, the tiling is the panel-local one, shifted.
+                let panels: Vec<_> = (0..n)
+                    .step_by(MM_NR_ROW)
+                    .flat_map(|p0| {
+                        let p1 = (p0 + MM_NR_ROW).min(n);
+                        mm_nn_col_tiles(rows, p1 - p0).map(move |(lo, hi)| (p0 + lo, p0 + hi))
+                    })
+                    .collect();
+                assert_eq!(panels, tiles, "rows={rows} n={n}");
             }
         }
     }

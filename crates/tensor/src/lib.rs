@@ -41,6 +41,8 @@
 //! assert_eq!(grad.shape(), &[2, 2]);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod graph;
 pub mod kernels;
 pub mod par;

@@ -16,8 +16,10 @@
 //! the sequential reduction — and to reject trees (e.g. any `k`-axis
 //! split that isn't a left-comb over ascending chunks) where it is not.
 
+use std::collections::BTreeSet;
+
 use crate::graph::MmOrient;
-use crate::par;
+use crate::{kernels, par};
 
 /// Which output/reduction axis a schedule splits across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,10 +116,20 @@ impl ReductionSchedule {
 /// an `(m, k, n)` launch at `workers` threads: every orientation splits
 /// output rows (`M`) into the planner's contiguous ascending chunks and
 /// joins along the left spine in worker order.
+///
+/// `mm_nn`'s register microkernel then tiles each worker's share of the
+/// output, and that tiling is declared too, from the same planners the
+/// kernel walks (`kernels::mm_nn_row_tiles` / `mm_nn_col_tiles`):
+/// `mm_nn.rows` splits `M` into every worker chunk's 4-row blocks and
+/// 1–3 row tail, and one `mm_nn.cols` schedule per row-block height
+/// splits `N` into that block's column tiles (64-wide for a one-row
+/// block, 16-wide otherwise, then the scalar tail). Each tile runs every
+/// output's full ascending-`k` chain and tiles write disjoint outputs, so
+/// the tree over them only lists them in index order.
 pub fn declared_schedules(m: usize, k: usize, n: usize, workers: usize) -> Vec<ReductionSchedule> {
     let chunks = par::row_chunks(m, workers);
     let join = JoinTree::left_spine(chunks.len());
-    [
+    let mut out: Vec<ReductionSchedule> = [
         ("mm_nn", MmOrient::Nn),
         ("mm_nt", MmOrient::Nt),
         ("mm_tn", MmOrient::Tn),
@@ -131,7 +143,47 @@ pub fn declared_schedules(m: usize, k: usize, n: usize, workers: usize) -> Vec<R
         chunks: chunks.clone(),
         join: join.clone(),
     })
-    .collect()
+    .collect();
+
+    let row_tiles: Vec<(usize, usize)> = chunks
+        .iter()
+        .flat_map(|&(lo, hi)| kernels::mm_nn_row_tiles(hi - lo).map(move |(a, b)| (lo + a, lo + b)))
+        .collect();
+    let heights: BTreeSet<usize> = row_tiles.iter().map(|(lo, hi)| hi - lo).collect();
+    out.extend(tile_schedule(
+        "mm_nn.rows",
+        (m, k, n),
+        SplitAxis::M,
+        row_tiles,
+    ));
+    for h in heights {
+        let col_tiles = kernels::mm_nn_col_tiles(h, n).collect();
+        out.extend(tile_schedule(
+            "mm_nn.cols",
+            (h, k, n),
+            SplitAxis::N,
+            col_tiles,
+        ));
+    }
+    out
+}
+
+/// An `mm_nn` microkernel tiling as a schedule, one chunk per tile
+/// (`None` for an empty output, which has no tiles).
+fn tile_schedule(
+    kernel: &'static str,
+    shape: (usize, usize, usize),
+    split: SplitAxis,
+    tiles: Vec<(usize, usize)>,
+) -> Option<ReductionSchedule> {
+    (!tiles.is_empty()).then(|| ReductionSchedule {
+        kernel,
+        orient: MmOrient::Nn,
+        shape,
+        split,
+        join: JoinTree::left_spine(tiles.len()),
+        chunks: tiles,
+    })
 }
 
 #[cfg(test)]
@@ -152,13 +204,46 @@ mod tests {
     #[test]
     fn declared_schedules_cover_all_orientations_and_tile_m() {
         let scheds = declared_schedules(65, 130, 257, 4);
-        assert_eq!(scheds.len(), 3);
-        for s in &scheds {
+        let workers: Vec<_> = scheds[..3].iter().map(|s| s.kernel).collect();
+        assert_eq!(workers, ["mm_nn", "mm_nt", "mm_tn"]);
+        for s in &scheds[..3] {
             assert_eq!(s.split, SplitAxis::M);
             assert_eq!(s.axis_len(), 65);
             assert_eq!(s.chunks.first().unwrap().0, 0);
             assert_eq!(s.chunks.last().unwrap().1, 65);
             assert_eq!(s.join.leaves().len(), s.chunks.len());
+        }
+        // The register tiling follows the worker splits: its row blocks
+        // tile the same [0, 65) and its column tiles split N.
+        for s in &scheds[3..] {
+            let (axis, len) = match s.kernel {
+                "mm_nn.rows" => (SplitAxis::M, 65),
+                _ => (SplitAxis::N, 257),
+            };
+            assert_eq!(s.split, axis, "{}", s.kernel);
+            assert_eq!(s.axis_len(), len, "{}", s.kernel);
+            assert_eq!(s.chunks.first().unwrap().0, 0);
+            assert_eq!(s.chunks.last().unwrap().1, len);
+            assert_eq!(s.join.leaves().len(), s.chunks.len());
+        }
+    }
+
+    #[test]
+    fn mm_nn_tiling_is_declared_per_worker_chunk() {
+        // 9 rows over 2 workers: chunks [0,5) [5,9) tile as 4+1 and 4.
+        let scheds = declared_schedules(9, 96, 1883, 2);
+        let rows = scheds.iter().find(|s| s.kernel == "mm_nn.rows").unwrap();
+        assert_eq!(par::row_chunks(9, 2), vec![(0, 5), (5, 9)]);
+        assert_eq!(rows.chunks, vec![(0, 4), (4, 5), (5, 9)]);
+        let cols: Vec<_> = scheds.iter().filter(|s| s.kernel == "mm_nn.cols").collect();
+        assert_eq!(cols.len(), 2, "one per row-block height (1 and 4)");
+        let one_row = cols.iter().find(|s| s.shape.0 == 1).unwrap();
+        assert_eq!(one_row.chunks[0], (0, kernels::MM_NR_ROW));
+        let four_rows = cols.iter().find(|s| s.shape.0 == 4).unwrap();
+        assert_eq!(four_rows.chunks[0], (0, kernels::MM_NR));
+        for s in cols {
+            assert_eq!(s.split, SplitAxis::N);
+            assert_eq!(s.chunks.last().unwrap(), &(1872, 1883), "scalar tail");
         }
     }
 
